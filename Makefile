@@ -8,7 +8,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet race fuzz chaos bench bench-diff cover cover-update ci
+.PHONY: all build test lint vet race fuzz chaos bench bench-diff perfbench-check cover cover-update ci
 
 all: build
 
@@ -71,12 +71,12 @@ cover-update:
 	$(GO) run ./tools/covercheck -ratchet COVERAGE.json -report COVERAGE_REPORT.json -update < COVER.out
 	rm -f COVER.out
 
-# bench runs the dispatch, scheduler-pass, sharded-dispatch, protocol, and
-# hashing benchmarks with -count=5 (enough repetitions for benchstat-style
-# comparison), plus one full 50k-task simulated workflow, and records the
-# raw test2json stream in BENCH_core.json. CI uploads the file as a
-# non-gating artifact so perf drift is visible across commits without
-# failing builds.
+# bench runs the dispatch, invoke, scheduler-pass, sharded-dispatch,
+# protocol, and hashing benchmarks with -count=5 (enough repetitions for
+# benchstat-style comparison), plus one full 50k-task simulated workflow,
+# and records the raw test2json stream in BENCH_core.json. CI uploads the
+# file as a non-gating artifact so perf drift is visible across commits
+# without failing builds.
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
 		./internal/core ./internal/shard ./internal/protocol ./internal/hashing > BENCH_core.json
@@ -94,4 +94,13 @@ bench-diff:
 		./internal/workloads >> BENCH_new.json
 	$(GO) run ./tools/benchdiff BENCH_core.json BENCH_new.json | tee BENCH_DIFF.txt
 
-ci: build lint race chaos fuzz cover
+# perfbench-check keeps the repository benchmark (perfbench/, its own
+# module built against this checkout) building and correct: vet and
+# self-tests, then a 3-second serverless-invoke run that must report
+# "correct": true. About 10 s; a facade change that breaks the benchmark
+# fails here instead of in the benchmark pipeline.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	python3 perfbench/run.py --workload serverless-invoke --seed 1 --seconds 3 | tail -n 1 | grep -q '"correct": *true'
+
+ci: build lint race chaos fuzz cover perfbench-check

@@ -370,7 +370,7 @@ func announceHolder(t *testing.T, m *Manager, id, fileID string, content []byte)
 		t.Fatal(err)
 	}
 	f := &fakeHolder{nc: nc, conn: protocol.NewConn(nc)}
-	t.Cleanup(func() { nc.Close() })
+	t.Cleanup(func() { f.conn.Close() })
 	if err := f.conn.Send(&protocol.Message{
 		Type: protocol.TypeRegister, WorkerID: id,
 		Capacity: &resources.R{Cores: 4, Memory: resources.GB, Disk: resources.GB},

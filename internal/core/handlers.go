@@ -68,6 +68,9 @@ func (m *Manager) handleMessage(ev event) {
 // checkLiveness pings quiet workers and drops ones that have been silent
 // past the timeout — the defense against half-open connections that TCP
 // alone never notices (§2.2: workers may leave the system at any time).
+// A worker that stops reading is dropped the same way once the
+// connection's writer has been stuck on it for the timeout: the loop only
+// ever enqueues, so nothing else would notice the frames piling up.
 func (m *Manager) checkLiveness() {
 	if m.cfg.HeartbeatTimeout <= 0 {
 		return
@@ -83,6 +86,11 @@ func (m *Manager) checkLiveness() {
 			m.workerGone(w.id)
 			continue
 		}
+		if stalled := w.conn.WriteStalled(); stalled > m.cfg.HeartbeatTimeout {
+			m.logf("worker %s has not read for %v; dropping", w.id, stalled.Round(time.Second))
+			m.workerGone(w.id)
+			continue
+		}
 		if silent > m.cfg.HeartbeatInterval && now.Sub(w.lastPinged) > m.cfg.HeartbeatInterval {
 			w.lastPinged = now
 			w.conn.Send(&protocol.Message{Type: protocol.TypeHeartbeat})
@@ -93,8 +101,9 @@ func (m *Manager) checkLiveness() {
 func (m *Manager) registerWorker(conn *protocol.Conn, msg *protocol.Message) {
 	if _, dup := m.workers[msg.WorkerID]; dup {
 		m.logf("duplicate worker id %s; rejecting", msg.WorkerID)
-		// The rejected connection is already dead to us.
-		_ = conn.Close()
+		// The rejected connection is already dead to us. Close waits for
+		// its writer, so it runs off the loop.
+		m.goBG(func() { _ = conn.Close() })
 		return
 	}
 	cap := resources.R{Cores: 1}
@@ -428,7 +437,10 @@ func (m *Manager) workerGone(workerID string) {
 	m.needFull = true
 	m.stagingAll = true
 	// The connection is usually already broken by the time we get here.
-	_ = w.conn.Close()
+	// When it is not (a liveness drop), Close waits up to its drain
+	// deadline for a worker that stopped reading, so it runs off the loop.
+	conn := w.conn
+	m.goBG(func() { _ = conn.Close() })
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
 	m.logf("worker %s left", workerID)
 

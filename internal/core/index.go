@@ -84,7 +84,7 @@ func (m *Manager) setState(id int, t *taskState, s taskspec.State) {
 	}
 }
 
-// archive moves a delivered terminal task out of the hot map. The state
+// archive moves a delivered terminal producer out of the hot map. The state
 // counters are deliberately NOT decremented: the gauges keep counting done
 // and failed tasks for the whole workflow, as they always have. The task
 // stays reachable through taskByID for recovery re-execution.

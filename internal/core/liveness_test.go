@@ -31,8 +31,8 @@ func TestSilentWorkerDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
 	fake := protocol.NewConn(nc)
+	defer fake.Close()
 	if err := fake.Send(&protocol.Message{
 		Type:     protocol.TypeRegister,
 		WorkerID: "zombie",

@@ -164,11 +164,13 @@ type Manager struct {
 	// only that work (ticks force a full pass as a safety net).
 	//
 	// staging holds the tasks currently placing data, so a pass never walks
-	// the full task map. archived holds terminal tasks whose results were
-	// delivered; they leave the hot map but stay reachable through taskByID
-	// for recovery re-execution. fileWaiters maps a file ID to the
-	// waiting/staging tasks that list it as a direct input, so a
-	// cache-update retries only the tasks that file could unblock.
+	// the full task map. archived holds terminal producers (tasks that
+	// registered outputs) whose results were delivered; they leave the hot
+	// map but stay reachable through taskByID for recovery re-execution.
+	// Terminal tasks without outputs are not kept at all. fileWaiters maps
+	// a file ID to the waiting/staging tasks that list it as a direct
+	// input, so a cache-update retries only the tasks that file could
+	// unblock.
 	staging     map[int]*taskState
 	archived    map[int]*taskState
 	fileWaiters map[string]map[int]bool
@@ -201,8 +203,9 @@ type Manager struct {
 	passes        int64
 	// needsBuf and needsSeen are fileNeedsScratch's reusable buffers, and
 	// sendMsg is the reusable outgoing message for event-loop-owned hot
-	// sends (dispatch): Send serializes synchronously, so the scratch may
-	// be overwritten as soon as the call returns. All event-loop-owned.
+	// sends (dispatch): Send encodes the frame into the connection's queue
+	// before returning, so the scratch may be overwritten as soon as the
+	// call returns. All event-loop-owned.
 	needsBuf  []policy.FileNeed
 	needsSeen map[string]bool
 	sendMsg   protocol.Message
@@ -871,12 +874,19 @@ func (m *Manager) Close() {
 	_ = m.ln.Close()
 	// Unblock every connection reader parked in Recv: the loop is gone,
 	// nobody will drain their events. New arrivals are closed on accept.
+	// Each Close first writes out what the loop queued (the release
+	// frames), so the connections close in parallel: one worker that
+	// stopped reading costs its drain deadline once, not once per worker.
 	m.connMu.Lock()
 	m.connsClosed = true
+	conns := make([]*protocol.Conn, 0, len(m.conns))
 	for conn := range m.conns { // hotpath-ok: shutdown-only walk of live connections
-		_ = conn.Close()
+		conns = append(conns, conn)
 	}
 	m.connMu.Unlock()
+	for _, conn := range conns {
+		m.goBG(func() { _ = conn.Close() })
+	}
 	m.bg.Wait()
 }
 
@@ -921,19 +931,19 @@ func (m *Manager) untrackConn(conn *protocol.Conn) {
 // network I/O.
 // Every event send is guarded by loopDone: once the loop has exited
 // nothing drains the channel, and an unguarded send would strand this
-// reader forever.
+// reader forever. A connection whose reader has exited is useless, so the
+// reader closes it on the way out, which also stops its writer.
 func (m *Manager) handleConn(conn *protocol.Conn) {
 	defer m.untrackConn(conn)
+	// Nothing to report the close error to: the link is done either way.
+	defer conn.Close()
 	regMsg, _, err := conn.Recv()
 	if err != nil || regMsg.Type != protocol.TypeRegister || regMsg.WorkerID == "" {
-		// Not a worker; nothing to report the close error to.
-		_ = conn.Close()
 		return
 	}
 	select {
 	case m.events <- event{kind: evMsg, conn: conn, msg: regMsg}:
 	case <-m.loopDone:
-		_ = conn.Close()
 		return
 	}
 	workerID := regMsg.WorkerID

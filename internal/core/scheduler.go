@@ -391,12 +391,14 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 				})
 			}
 		case replica.SourceManager:
-			// sendPut streams file bytes over the worker connection —
-			// stat, open, and payload writes that would stall every other
-			// worker if run on the event loop. Ship from a tracked helper
-			// goroutine; protocol.Conn serializes concurrent writers. A
-			// failure comes back as a synthetic failed cache-update, which
-			// funnels into the same retry path as a worker-reported one.
+			// sendPut stats and opens the file and waits for its payload
+			// to stream, which would stall every other worker if run on
+			// the event loop. Ship from a tracked helper goroutine: the
+			// payload joins the connection's outbound queue in order, and
+			// frames the loop queues meanwhile wait behind it without
+			// blocking the loop. A failure comes back as a synthetic
+			// failed cache-update, which funnels into the same retry path
+			// as a worker-reported one.
 			tid := tr.ID
 			m.goBG(func() {
 				perr := m.sendPut(w, f, tid)
@@ -490,9 +492,9 @@ func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
 		Time: m.now(), Kind: trace.TaskStart, Worker: w.id, TaskID: id,
 		Detail: t.spec.Category,
 	})
-	// The send message is manager-owned scratch: Send serializes it
-	// synchronously before returning, and dispatch only runs on the event
-	// loop, so reusing one Message avoids a per-dispatch allocation.
+	// The send message is manager-owned scratch: Send encodes it into the
+	// connection's queue before returning, and dispatch only runs on the
+	// event loop, so reusing one Message avoids a per-dispatch allocation.
 	m.sendMsg = protocol.Message{Type: protocol.TypeTask, TaskID: id, Spec: t.spec}
 	if err := w.conn.Send(&m.sendMsg); err != nil {
 		m.logf("dispatching task %d to %s: %v", id, w.id, err)
@@ -561,6 +563,13 @@ func (m *Manager) finishTask(id int, t *taskState, res *Result) {
 		t.notified = true
 		m.pendingWk--
 		m.queueResult(res)
+	}
+	if len(t.spec.Outputs) == 0 {
+		// Only producers are ever looked up again (for recovery
+		// re-execution); a task that registered no outputs is forgotten,
+		// so a long run of plain calls does not grow the heap.
+		delete(m.tasks, id)
+		return
 	}
 	m.archive(id, t)
 }

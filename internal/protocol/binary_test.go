@@ -240,8 +240,8 @@ func TestBinaryAbandonedPayloadIsDrained(t *testing.T) {
 func TestOversizedFrameHeaderRejected(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
-	defer b.Close()
 	cb := NewConn(b)
+	defer cb.Close()
 	go func() {
 		var prologue [framePrologueLen]byte
 		prologue[0] = frameMagic
@@ -258,8 +258,8 @@ func TestOversizedFrameHeaderRejected(t *testing.T) {
 func TestOversizedJSONLineRejected(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
-	defer b.Close()
 	cb := NewConn(b)
+	defer cb.Close()
 	go func() {
 		junk := bytes.Repeat([]byte{'{'}, 1<<20)
 		for i := 0; i < 20; i++ {

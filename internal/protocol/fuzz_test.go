@@ -29,8 +29,8 @@ func FuzzRecv(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
 		defer a.Close()
-		defer b.Close()
 		conn := NewConn(b)
+		defer conn.Close()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -126,9 +126,9 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		a, b := net.Pipe()
-		defer a.Close()
-		defer b.Close()
 		ca, cb := NewConn(a), NewConn(b)
+		defer ca.Close()
+		defer cb.Close()
 		sent := &Message{Type: typ, WorkerID: workerID, TransferAddr: addr, Size: size}
 		errc := make(chan error, 1)
 		go func() {

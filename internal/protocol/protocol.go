@@ -20,10 +20,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"taskvine/internal/resources"
@@ -130,12 +132,12 @@ type Message struct {
 	Payload   bool   `json:"payload,omitempty"`
 	// Dir marks a directory-valued object whose payload is a tar stream
 	// rather than raw file bytes.
-	Dir        bool   `json:"dir,omitempty"`
-	Lifetime   int    `json:"lifetime,omitempty"`
+	Dir      bool `json:"dir,omitempty"`
+	Lifetime int  `json:"lifetime,omitempty"`
 	// Tier reports which storage tier holds the object named by a
 	// cache-update (0 disk, 1 memory), so the manager can distinguish
 	// RAM-resident handle results from disk-materialized objects.
-	Tier int `json:"tier,omitempty"`
+	Tier       int    `json:"tier,omitempty"`
 	URL        string `json:"url,omitempty"`
 	PeerAddr   string `json:"peer_addr,omitempty"`
 	TransferID string `json:"transfer_id,omitempty"`
@@ -163,45 +165,95 @@ type Message struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Conn wraps a network connection with the message codec. Writes are
-// serialized by a mutex so that concurrent senders cannot interleave a
-// control message inside another message's payload. Reads must be performed
-// by a single goroutine.
+// Conn wraps a network connection with the message codec. Reads must be
+// performed by a single goroutine.
+//
+// Writes go through one bounded outbound FIFO drained by a writer
+// goroutine, the only code that writes to the socket. Send encodes its
+// frame into the queue and returns without I/O; SendPayload queues its
+// header and payload stream as one item and waits for it to be written.
+// The writer takes everything queued at once, so a burst of frames leaves
+// in one socket write. Nothing overtakes a frame queued before it.
+//
+// Failure is sticky: a write error, or more than maxQueuedBytes waiting,
+// closes the connection, and every later send returns that error.
 type Conn struct {
 	raw net.Conn
 	r   *bufio.Reader
-	w   *bufio.Writer // guarded by wmu
-	// enc is the JSON encoder bound to w, reused across sends so the hot
-	// dispatch path does not re-marshal into a fresh byte slice per
-	// message (guarded by wmu). Encode appends the '\n' the line framing
-	// requires.
-	enc *json.Encoder
-	wmu sync.Mutex
-	// bin selects binary framing for outgoing messages (guarded by wmu).
-	// Incoming framing needs no state: every message self-identifies by
-	// its first byte.
-	bin bool
 	// pending is the unread remainder of the previous message's payload;
 	// it must be drained before the next control message can be decoded.
 	pending int64
 	// line accumulates JSON control lines that overflow the bufio buffer,
 	// reused across Recv calls to avoid per-message allocation.
 	line []byte
+
+	// mu is a leaf lock: frames are encoded under it, nothing blocks.
+	mu sync.Mutex
+	// wake signals the writer: frames queued, closing, or failed.
+	wake *sync.Cond
+	// out holds the encoded frames the writer has not taken. guarded by mu
+	out []byte
+	// streams lists the payloads queued in out, in order. guarded by mu
+	streams []stream
+	// bin selects binary framing for outgoing messages; incoming frames
+	// self-identify by their first byte. guarded by mu
+	bin bool
+	// closing refuses new frames while the writer drains. guarded by mu
+	closing bool
+	// err is the sticky failure later sends return. guarded by mu
+	err error
+	// writerDone is closed when the writer goroutine exits.
+	writerDone chan struct{}
+
+	// writes and frames count socket writes and frames sent; writeStart
+	// is when the socket write in progress began (unix ns, 0 when idle).
+	writes, frames, writeStart atomic.Int64
 }
 
-// NewConn wraps an established network connection.
+// stream is a payload queued behind its header, which ends out[:off].
+type stream struct {
+	off  int
+	r    io.Reader
+	size int64
+	name string
+	done chan error
+}
+
+const (
+	// maxQueuedBytes bounds the frames waiting for the writer, leaving
+	// room for several of the largest headers a receiver accepts.
+	maxQueuedBytes = 4 * maxHeaderBytes
+	// maxRetainedQueue is the largest drained queue buffer kept for reuse.
+	maxRetainedQueue = 1 << 20
+	// closeDrainTimeout bounds how long Close writes out queued frames to
+	// a peer that may have stopped reading.
+	closeDrainTimeout = time.Second
+)
+
+var errClosed = errors.New("protocol: connection closed")
+
+// NewConn wraps an established network connection and starts its writer,
+// which runs until Close.
 func NewConn(c net.Conn) *Conn {
-	w := bufio.NewWriterSize(c, 1<<16)
-	return &Conn{
-		raw: c,
-		r:   bufio.NewReaderSize(c, 1<<16),
-		w:   w,
-		enc: json.NewEncoder(w),
-	}
+	conn := &Conn{raw: c, r: bufio.NewReaderSize(c, 1<<16), writerDone: make(chan struct{})}
+	conn.wake = sync.NewCond(&conn.mu)
+	go conn.writeLoop()
+	return conn
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.raw.Close() }
+// Close writes out the frames queued before it, giving a peer that is not
+// reading at most closeDrainTimeout, then closes the connection. Later
+// sends fail. Close is idempotent and safe to call concurrently.
+func (c *Conn) Close() error {
+	c.mu.Lock()
+	c.closing = true
+	c.wake.Broadcast()
+	c.mu.Unlock()
+	// An error means the socket is already closed, which is the goal.
+	_ = c.raw.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+	<-c.writerDone
+	return c.raw.Close()
+}
 
 // RemoteAddr returns the peer address of the underlying connection.
 func (c *Conn) RemoteAddr() string { return c.raw.RemoteAddr().String() }
@@ -214,91 +266,196 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 // read to express an idle timeout rather than a whole-transfer bound.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
-// SetWriteDeadline bounds future writes, the mirror-image defense against a
-// receiver that stops draining.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
+// WriteStats returns the socket writes made and the frames sent.
+func (c *Conn) WriteStats() (writes, frames int64) { return c.writes.Load(), c.frames.Load() }
 
-// Send writes a control message with no payload.
-func (c *Conn) Send(m *Message) error {
-	return c.SendPayload(m, nil)
+// WriteStalled reports how long the writer has been blocked in its current
+// socket write, as when the peer stops reading; zero when not writing.
+func (c *Conn) WriteStalled() time.Duration {
+	if start := c.writeStart.Load(); start != 0 {
+		return time.Since(time.Unix(0, start))
+	}
+	return 0
 }
 
 // EnableBinary switches outgoing messages on this connection to binary
 // framing. Call it only after the peer has advertised ProtoBinary; the
 // receive path is unaffected (framing is detected per message).
 func (c *Conn) EnableBinary() {
-	c.wmu.Lock()
+	c.mu.Lock()
 	c.bin = true
-	c.wmu.Unlock()
+	c.mu.Unlock()
 }
 
-// SendsBinary reports whether outgoing messages use binary framing.
-func (c *Conn) SendsBinary() bool {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.bin
+// Send queues a control message with no payload. The frame is encoded
+// before Send returns, so the caller may reuse the message at once.
+func (c *Conn) Send(m *Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.enqueueLocked(m, false)
 }
 
-// SendPayload writes a control message followed by exactly m.Size bytes
-// read from payload. The caller's message is never mutated: a payload
-// marker is set on a private copy, so one Message may be broadcast to many
-// connections concurrently.
+// SendPayload queues a control message followed by exactly m.Size bytes
+// read from payload, and waits until both are written. A payload that
+// fails or runs short fails the connection: the peer was promised m.Size
+// bytes. The caller's message is never mutated: a payload marker is set on
+// a private copy, so one Message may be broadcast to many connections
+// concurrently.
 func (c *Conn) SendPayload(m *Message, payload io.Reader) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if payload != nil && !m.Payload {
+	if payload == nil {
+		return c.Send(m)
+	}
+	if !m.Payload {
 		mm := *m
 		mm.Payload = true
 		m = &mm
 	}
-	if c.bin {
-		if err := c.writeBinaryHeader(m, payload != nil); err != nil {
-			return err
-		}
-	} else {
-		// Encode writes straight into the buffered writer and terminates
-		// the line, avoiding the per-send marshal allocation.
-		if err := c.enc.Encode(m); err != nil {
-			return fmt.Errorf("protocol: encoding %s: %w", m.Type, err)
-		}
+	done := make(chan error, 1)
+	c.mu.Lock()
+	err := c.enqueueLocked(m, true)
+	if err == nil {
+		c.streams = append(c.streams, stream{off: len(c.out), r: payload, size: m.Size, name: m.CacheName, done: done})
 	}
-	if payload != nil {
-		n, err := CopyBuffer(c.w, io.LimitReader(payload, m.Size))
-		if err != nil {
-			return fmt.Errorf("protocol: sending payload of %s: %w", m.CacheName, err)
-		}
-		if n != m.Size {
-			return fmt.Errorf("protocol: short payload for %s: sent %d of %d bytes", m.CacheName, n, m.Size)
-		}
+	c.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	return c.w.Flush()
+	return <-done
 }
 
-// writeBinaryHeader emits the frame prologue and binary-encoded header.
-// Caller holds wmu.
-func (c *Conn) writeBinaryHeader(m *Message, hasPayload bool) error {
-	hb := getEncBuf()
-	h := encodeMessage((*hb)[:0], m)
-	var prologue [framePrologueLen]byte
+// enqueueLocked encodes one frame onto the queue. Caller holds mu.
+func (c *Conn) enqueueLocked(m *Message, hasPayload bool) error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.closing {
+		return errClosed
+	}
+	if c.bin {
+		c.out = appendFrame(c.out, m, hasPayload)
+	} else {
+		b, err := json.Marshal(m)
+		if err != nil {
+			return fmt.Errorf("protocol: encoding %s: %w", m.Type, err)
+		}
+		c.out = append(append(c.out, b...), '\n')
+	}
+	if len(c.out) > maxQueuedBytes {
+		c.failLocked(fmt.Errorf("protocol: outbound queue exceeds %d bytes; the peer is not reading", maxQueuedBytes))
+		return c.err
+	}
+	c.frames.Add(1)
+	c.wake.Signal()
+	return nil
+}
+
+// failLocked records the first failure, fails the queued payloads, and
+// closes the socket so the reader fails too. Caller holds mu.
+func (c *Conn) failLocked(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	for _, s := range c.streams {
+		s.done <- c.err
+	}
+	c.streams, c.out = nil, nil
+	c.wake.Broadcast()
+	_ = c.raw.Close() // already failed; the close error adds nothing
+}
+
+// appendFrame appends a binary frame header (prologue and message) to b.
+func appendFrame(b []byte, m *Message, hasPayload bool) []byte {
+	start := len(b)
+	b = encodeMessage(append(b, make([]byte, framePrologueLen)...), m)
+	prologue := b[start : start+framePrologueLen]
 	prologue[0] = frameMagic
 	prologue[1] = frameVersion
+	binary.BigEndian.PutUint32(prologue[3:7], uint32(len(b)-start-framePrologueLen))
 	if hasPayload {
 		prologue[2] = frameFlagPayload
-	}
-	binary.BigEndian.PutUint32(prologue[3:7], uint32(len(h)))
-	if hasPayload {
 		binary.BigEndian.PutUint64(prologue[7:15], uint64(m.Size))
 	}
-	_, err := c.w.Write(prologue[:])
-	if err == nil {
-		_, err = c.w.Write(h)
+	return b
+}
+
+// writeLoop takes the whole queue, writes it, and repeats until the
+// connection closes or fails.
+func (c *Conn) writeLoop() {
+	defer close(c.writerDone)
+	bw := bufio.NewWriterSize(sockWriter{c}, 1<<16)
+	var out []byte
+	var streams []stream
+	for {
+		c.mu.Lock()
+		for len(c.out) == 0 && !c.closing && c.err == nil {
+			c.wake.Wait()
+		}
+		if c.err != nil || len(c.out) == 0 {
+			if c.err == nil {
+				c.err = errClosed
+			}
+			c.mu.Unlock()
+			return
+		}
+		out, c.out = c.out, out[:0]
+		streams, c.streams = c.streams, streams[:0]
+		c.mu.Unlock()
+		if err := drain(bw, out, streams); err != nil {
+			c.mu.Lock()
+			c.failLocked(fmt.Errorf("protocol: writing: %w", err))
+			c.mu.Unlock()
+			return
+		}
+		if cap(out) > maxRetainedQueue {
+			out = nil
+		}
+		clear(streams) // drop the payload readers
 	}
-	*hb = h
-	putEncBuf(hb)
-	if err != nil {
-		return fmt.Errorf("protocol: writing frame for %s: %w", m.Type, err)
+}
+
+// drain writes one batch, streaming each payload after its header, and
+// answers every payload's sender once its bytes are flushed.
+func drain(bw *bufio.Writer, out []byte, streams []stream) error {
+	off := 0
+	for i, s := range streams {
+		_, err := bw.Write(out[off:s.off])
+		off = s.off
+		if err == nil {
+			var n int64
+			n, err = bw.ReadFrom(io.LimitReader(s.r, s.size))
+			if err != nil {
+				err = fmt.Errorf("protocol: sending payload of %s: %w", s.name, err)
+			} else if n != s.size {
+				err = fmt.Errorf("protocol: short payload for %s: sent %d of %d bytes", s.name, n, s.size)
+			}
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		s.done <- err
+		if err != nil {
+			for _, rest := range streams[i+1:] {
+				rest.done <- err
+			}
+			return err
+		}
 	}
-	return nil
+	if _, err := bw.Write(out[off:]); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// sockWriter is the writer's view of the socket: it counts writes and
+// marks the one in progress for WriteStalled.
+type sockWriter struct{ c *Conn }
+
+func (w sockWriter) Write(p []byte) (int, error) {
+	w.c.writeStart.Store(time.Now().UnixNano())
+	n, err := w.c.raw.Write(p)
+	w.c.writeStart.Store(0)
+	w.c.writes.Add(1)
+	return n, err
 }
 
 // Recv reads the next control message, auto-detecting the framing from its

@@ -25,6 +25,7 @@ func benchEcho(b *testing.B, binary bool) *Conn {
 			return
 		}
 		c := NewConn(nc)
+		defer c.Close()
 		if binary {
 			c.EnableBinary()
 		}

@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,8 +189,8 @@ func TestTaskSpecOverWire(t *testing.T) {
 func TestMalformedMessage(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
-	defer b.Close()
 	cb := NewConn(b)
+	defer cb.Close()
 	go func() {
 		a.Write([]byte("this is not json\n"))
 	}()
@@ -197,46 +199,59 @@ func TestMalformedMessage(t *testing.T) {
 	}
 }
 
+// TestConcurrentSendersDoNotInterleave: concurrent senders mixing Send
+// and SendPayload each see their frames decoded in the order they queued
+// them, with every payload intact behind its own header.
 func TestConcurrentSendersDoNotInterleave(t *testing.T) {
 	ca, cb := pipePair(t)
-	const n = 20
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 2*n; i++ {
-			m, p, err := cb.Recv()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if m.Type == TypePut {
-				body, err := io.ReadAll(p)
-				if err != nil || int64(len(body)) != m.Size {
-					t.Errorf("payload of %s corrupted: %d bytes err=%v", m.CacheName, len(body), err)
+	// Lost or interleaved bytes surface as a decode error or a stalled
+	// read; the deadline turns the latter into a failure.
+	cb.SetReadDeadline(time.Now().Add(10 * time.Second))
+	const senders, perSender = 4, 50
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("s%d", s)
+			for i := 1; i <= perSender; i++ {
+				m := &Message{Type: TypeHeartbeat, WorkerID: id, TaskID: i}
+				var err error
+				if i%3 == 0 {
+					body := bytes.Repeat([]byte{byte(s), byte(i)}, 100*i)
+					m.Type, m.Size = TypePut, int64(len(body))
+					err = ca.SendPayload(m, bytes.NewReader(body))
+				} else {
+					err = ca.Send(m)
+				}
+				if err != nil {
+					t.Error(err)
 					return
 				}
 			}
+		}()
+	}
+	last := map[string]int{}
+	for n := 0; n < senders*perSender; n++ {
+		m, p, err := cb.Recv()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	var senders [2]func()
-	senders[0] = func() {
-		for i := 0; i < n; i++ {
-			data := bytes.Repeat([]byte{byte(i)}, 512)
-			ca.SendPayload(&Message{Type: TypePut, CacheName: "x", Size: 512}, bytes.NewReader(data))
+		if m.TaskID != last[m.WorkerID]+1 {
+			t.Fatalf("%s: frame %d after %d", m.WorkerID, m.TaskID, last[m.WorkerID])
+		}
+		last[m.WorkerID] = m.TaskID
+		if m.Type == TypePut {
+			body, err := io.ReadAll(p)
+			var s int
+			fmt.Sscanf(m.WorkerID, "s%d", &s)
+			want := bytes.Repeat([]byte{byte(s), byte(m.TaskID)}, 100*m.TaskID)
+			if err != nil || !bytes.Equal(body, want) {
+				t.Fatalf("%s frame %d: payload of %d bytes corrupted (err %v)", m.WorkerID, m.TaskID, len(body), err)
+			}
 		}
 	}
-	senders[1] = func() {
-		for i := 0; i < n; i++ {
-			ca.Send(&Message{Type: TypeHeartbeat})
-		}
-	}
-	go senders[0]()
-	go senders[1]()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver did not finish; messages likely interleaved")
-	}
+	wg.Wait()
 }
 
 func TestDialRealSocket(t *testing.T) {
@@ -251,6 +266,7 @@ func TestDialRealSocket(t *testing.T) {
 			return
 		}
 		c := NewConn(nc)
+		defer c.Close()
 		m, _, err := c.Recv()
 		if err == nil {
 			m.Status = "echoed"

@@ -21,11 +21,13 @@ import (
 )
 
 // controlPlane is the slice of the manager API the conformance workload
-// exercises; *core.Manager and *Router both implement it.
+// and the dispatch benchmark exercise; *core.Manager and *Router both
+// implement it.
 type controlPlane interface {
 	Addr() string
 	Status() core.Status
 	Submit(*taskspec.Spec) (int, error)
+	Invoke(library, function string, args []byte) (int, error)
 	Wait(context.Context) (*core.Result, error)
 	Trace() *trace.Log
 }

@@ -98,13 +98,13 @@ func TestChaosPeerFetchTimesOutOnWedgedPeer(t *testing.T) {
 		if err != nil {
 			return
 		}
-		defer nc.Close()
 		c := protocol.NewConn(nc)
+		defer c.Close()
 		if _, _, err := c.Recv(); err != nil {
 			return
 		}
 		// Promise a megabyte, deliver ten bytes, then wedge.
-		c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
+		writeRawHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
 		nc.Write([]byte("ten bytes!"))
 		<-hold
 	}()
@@ -147,12 +147,12 @@ func TestChaosPeerDiesMidStream(t *testing.T) {
 			}
 			c := protocol.NewConn(nc)
 			if _, _, err := c.Recv(); err != nil {
-				nc.Close()
+				c.Close()
 				continue
 			}
-			c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
+			writeRawHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
-			nc.Close() // die mid-stream
+			c.Close() // die mid-stream
 		}
 	}()
 

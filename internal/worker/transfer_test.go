@@ -7,6 +7,7 @@ package worker
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -61,12 +62,12 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 			}
 			c := protocol.NewConn(nc)
 			if _, _, err := c.Recv(); err != nil {
-				nc.Close()
+				c.Close()
 				continue
 			}
-			c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
+			writeRawHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
-			nc.Close() // killed mid-transfer
+			c.Close() // killed mid-transfer
 		}
 	}()
 
@@ -88,6 +89,14 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 		t.Fatalf("killed fetch left a file at the final cache path (stat err=%v)", err)
 	}
 	assertNoPartLitter(t, w)
+}
+
+// writeRawHeader writes a JSON-framed header straight to the socket, for
+// fakes that must follow it with a broken payload: a Conn only sends
+// payloads that are whole, and nothing else may write under it.
+func writeRawHeader(nc net.Conn, m *protocol.Message) {
+	hdr, _ := json.Marshal(m)
+	nc.Write(append(hdr, '\n'))
 }
 
 // TestChaosDirShortTarNotCommitted serves a directory payload whose tar
@@ -117,17 +126,17 @@ func TestChaosDirShortTarNotCommitted(t *testing.T) {
 			}
 			c := protocol.NewConn(nc)
 			if _, _, err := c.Recv(); err != nil {
-				nc.Close()
+				c.Close()
 				continue
 			}
 			// Promise more than the archive holds, then hang up: a valid
 			// end-of-archive marker arrives before the advertised size does.
-			c.Send(&protocol.Message{
+			writeRawHeader(nc, &protocol.Message{
 				Type: protocol.TypeData, CacheName: "short-tree",
 				Size: int64(len(blob)) + 512, Dir: true, Payload: true,
 			})
 			nc.Write(blob)
-			nc.Close()
+			c.Close()
 		}
 	}()
 

@@ -229,6 +229,19 @@ func (w *Worker) Cache() *cache.Cache { return w.cache }
 // after Run has started it.
 func (w *Worker) PeerAddr() string { return w.peerAddr }
 
+// WriteStats returns the socket writes the worker's current manager
+// connection has made and the frames they carried; zero before the first
+// connection.
+func (w *Worker) WriteStats() (writes, frames int64) {
+	w.mu.Lock()
+	conn := w.conn
+	w.mu.Unlock()
+	if conn == nil {
+		return 0, 0
+	}
+	return conn.WriteStats()
+}
+
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logger != nil {
 		w.cfg.Logger.Printf("worker %s: "+format, append([]any{w.cfg.ID}, args...)...)
@@ -296,7 +309,11 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
+	// The lock orders this store before WriteStats reads; the session's
+	// own goroutines all start after it.
+	w.mu.Lock()
 	w.conn = conn
+	w.mu.Unlock()
 	defer conn.Close()
 
 	cap := w.cfg.Capacity
@@ -330,23 +347,30 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 		}
 	}
 
-	sctx, cancel := context.WithCancel(ctx)
+	// The session context is cancelled only once the connection is
+	// closed. Close still delivers frames queued before it, so a task
+	// killed by the shutdown must not be able to queue a failure report:
+	// the manager requeues it when the link drops instead.
+	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	serveDone := make(chan struct{})
+	closeDone := make(chan struct{})
 	go func() {
+		defer close(closeDone)
 		select {
-		case <-sctx.Done():
+		case <-ctx.Done():
 		case <-w.closed:
 		case <-serveDone:
 		}
 		// Shutdown path: closing unblocks the read loop; its error is the
 		// signal, not this one.
 		_ = conn.Close()
+		cancel()
 	}()
 
 	err = w.readLoop(sctx)
 	close(serveDone)
-	cancel()
+	<-closeDone
 	w.stopInstances()
 	w.wg.Wait()
 	select {
@@ -385,9 +409,10 @@ func (w *Worker) readLoop(ctx context.Context) error {
 		case protocol.TypePut:
 			w.handlePut(m, payload)
 		case protocol.TypeGet:
-			// Streaming an object back to the manager is a payload write;
-			// run it like any other transfer so the read loop keeps
-			// draining control messages (protocol.Conn serializes writers).
+			// Streaming an object back to the manager waits for a payload
+			// write; run it like any other transfer so the read loop keeps
+			// draining control messages (the payload takes its place in the
+			// connection's outbound queue).
 			w.async(func() { w.handleGet(m) })
 		case protocol.TypeFetchURL:
 			w.async(func() { w.handleFetchURL(ctx, m) })
@@ -991,9 +1016,11 @@ func (w *Worker) servePeers() {
 		w.peerWg.Add(1)
 		go func() {
 			defer w.peerWg.Done()
-			defer nc.Close()
-			nc.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
 			conn := protocol.NewConn(nc)
+			// Close, not nc.Close: an error frame queued on the way out
+			// must reach the requester before the socket goes.
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
 			m, _, err := conn.Recv()
 			if err != nil || m.Type != protocol.TypeGet {
 				return
@@ -1010,7 +1037,7 @@ func (w *Worker) servePeers() {
 			if m.Total > 0 {
 				// A Total on a get marks a ranged request from a chunking
 				// fetcher.
-				w.serveRange(conn, nc, m)
+				w.serveRange(conn, m)
 				return
 			}
 			r, size, dir, sum, err := w.openObject(m.CacheName)
@@ -1021,7 +1048,7 @@ func (w *Worker) servePeers() {
 			defer r.Close()
 			// Refresh the deadline for the payload: the header deadline was
 			// sized for a request, not a multi-gigabyte object.
-			nc.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
+			conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
 			if err := conn.SendPayload(&protocol.Message{Type: protocol.TypeData, CacheName: m.CacheName, Size: size, Dir: dir, Checksum: sum}, r); err != nil {
 				w.logf("sending %s to peer %s: %v", m.CacheName, conn.RemoteAddr(), err)
 				return
@@ -1037,7 +1064,7 @@ func (w *Worker) servePeers() {
 // whose bytes are not stable across servings — which makes the requester
 // fall back to a whole-object stream. The checksum covers exactly the
 // served window so each chunk verifies independently.
-func (w *Worker) serveRange(conn *protocol.Conn, nc net.Conn, m *protocol.Message) {
+func (w *Worker) serveRange(conn *protocol.Conn, m *protocol.Message) {
 	fail := func(err error) {
 		conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
 	}
@@ -1081,7 +1108,7 @@ func (w *Worker) serveRange(conn *protocol.Conn, nc net.Conn, m *protocol.Messag
 		fail(err)
 		return
 	}
-	nc.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
+	conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
 	if err := conn.SendPayload(&protocol.Message{
 		Type: protocol.TypeData, CacheName: m.CacheName,
 		Size: m.Size, Offset: m.Offset, Total: size, Checksum: sum,

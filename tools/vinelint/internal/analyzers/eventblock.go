@@ -20,10 +20,12 @@ import (
 //   - time.Sleep
 //   - filesystem calls (os.Open/ReadFile/Stat/Rename/...)
 //   - network dials, listens, and net/http calls
-//   - bulk protocol I/O: Conn.SendPayload, Conn.Recv (except the loop's
-//     own receive in the root function), and protocol.Dial. Small
-//     control-frame Sends are permitted: the connection serializes
-//     writers and the frames are bounded.
+//   - bulk protocol I/O: Conn.SendPayload (it waits for its payload to
+//     stream), Conn.Recv (except the loop's own receive in the root
+//     function), and protocol.Dial. Control-frame Sends are permitted
+//     because they only enqueue: Send encodes the frame into the
+//     connection's outbound queue and returns without touching the
+//     socket, and the connection's writer goroutine does the I/O.
 //   - channel sends, unless the send is a select case with a default
 //     (non-blocking), or the channel arrived as a parameter of the
 //     enclosing function (reply channels are caller-supplied and sized

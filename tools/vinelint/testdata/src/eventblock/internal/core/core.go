@@ -40,11 +40,11 @@ func (m *Manager) persist() {
 }
 
 // stream ships a bulk payload and dials a peer, neither of which is ever
-// loop-safe; the bounded control-frame Send is permitted.
+// loop-safe; the control-frame Send is permitted because it only enqueues.
 func (m *Manager) stream() {
 	_ = m.conn.SendPayload(&protocol.Message{}, nil) // want:eventblock "protocol SendPayload (bulk transfer) in stream is synchronously reachable from the handleEvent loop"
 	_, _ = protocol.Dial("peer:9000")                // want:eventblock "protocol Dial in stream is synchronously reachable from the handleEvent loop"
-	_ = m.conn.Send(&protocol.Message{})             // bounded control frame: allowed
+	_ = m.conn.Send(&protocol.Message{})             // enqueue only: allowed
 }
 
 // cleanup's removal is bounded and carries the annotation escape hatch.

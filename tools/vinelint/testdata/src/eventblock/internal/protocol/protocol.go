@@ -15,10 +15,12 @@ type Conn struct{}
 // Recv blocks until a frame arrives.
 func (c *Conn) Recv() (*Message, error) { return nil, nil }
 
-// Send writes one bounded control frame.
+// Send queues one control frame for the connection's writer goroutine
+// and returns without I/O.
 func (c *Conn) Send(m *Message) error { return nil }
 
-// SendPayload streams a bulk payload after the header frame.
+// SendPayload queues a header and its bulk payload and waits until the
+// payload has streamed.
 func (c *Conn) SendPayload(m *Message, r io.Reader) error { return nil }
 
 // Dial opens a connection.

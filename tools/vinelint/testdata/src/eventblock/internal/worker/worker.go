@@ -25,4 +25,22 @@ func (w *Worker) readLoop() {
 func (w *Worker) forward(m *protocol.Message) {
 	_, _ = w.conn.Recv()           // want:eventblock "protocol Recv in forward is synchronously reachable from the readLoop loop"
 	_ = w.conn.SendPayload(m, nil) // want:eventblock "protocol SendPayload (bulk transfer) in forward is synchronously reachable from the readLoop loop"
+	w.reply(m)
+	go w.serveGet(m)
+}
+
+// reply answers on the loop: Send only enqueues the frame for the
+// connection's writer, so it never blocks the pump, and the message may be
+// reused as soon as Send returns. Dialling a peer from here still blocks.
+func (w *Worker) reply(m *protocol.Message) {
+	_ = w.conn.Send(m)
+	m.Type = "heartbeat"
+	_ = w.conn.Send(m)
+	_, _ = protocol.Dial("peer:9000") // want:eventblock "protocol Dial in reply is synchronously reachable from the readLoop loop"
+}
+
+// serveGet streams an object back off the loop: the sanctioned home of a
+// SendPayload.
+func (w *Worker) serveGet(m *protocol.Message) {
+	_ = w.conn.SendPayload(m, nil)
 }
