@@ -96,10 +96,6 @@ type Config struct {
 	// Faults is a test-only fault injector consulted by the transfer
 	// supervisor; nil (the default) disables injection.
 	Faults *chaos.Injector
-	// DisableBinaryProto keeps all connections on line-delimited JSON even
-	// when a worker advertises binary framing — for netcat debugging and
-	// cross-version tests. Default false: binary is negotiated when offered.
-	DisableBinaryProto bool
 	// Placement configures workflow-aware lookahead placement: prefetching
 	// queued tasks' inputs toward their likely workers and replicating
 	// high-fan-out files ahead of their consumers. Disabled by default.

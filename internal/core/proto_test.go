@@ -1,94 +1,75 @@
 package core
 
-// Tests for the wire-framing negotiation and the manager's streaming read
-// path: every cross-version framing combination must interoperate, large
-// data payloads must travel through the disk spool rather than memory, and
-// oversized control frames must be rejected without allocation.
+// Tests for the wire protocol at the manager's edges: input that is not a
+// frame is refused by the manager and by a worker's peer server, large data
+// payloads travel through the disk spool rather than memory, and oversized
+// control frames are rejected without allocation.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"taskvine/internal/files"
-	"taskvine/internal/httpsource"
 	"taskvine/internal/protocol"
 	"taskvine/internal/resources"
-	"taskvine/internal/worker"
 )
 
-// protoHarness starts a manager and one worker with explicit framing
-// preferences on each side.
-func protoHarness(t *testing.T, mgrJSON, wkrJSON bool) *Manager {
-	t.Helper()
-	m, err := NewManager(Config{Head: httpsource.Head, DisableBinaryProto: mgrJSON})
+// TestMalformedMessage sends a JSON line, the retired framing, to the
+// manager's listener and to a worker's peer server. Each must refuse it and
+// close the connection rather than hang, and both keep serving: a task
+// whose output is fetched back from the worker still completes.
+func TestMalformedMessage(t *testing.T) {
+	h := newHarness(t, 1, Config{})
+	waitWorkers(t, h.m, 1)
+	for _, target := range []struct{ name, addr string }{
+		{"manager", h.m.Addr()},
+		{"peer server", h.m.Status().Workers[0].TransferAddr},
+	} {
+		nc, err := net.Dial("tcp", target.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write([]byte(`{"type":"heartbeat"}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := nc.Read(make([]byte, 64))
+		nc.Close()
+		if err == nil {
+			t.Fatalf("%s answered a JSON line with %d bytes", target.name, n)
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s kept the connection open after a JSON line", target.name)
+		}
+		if !errors.Is(err, io.EOF) && !strings.Contains(err.Error(), "reset") {
+			t.Fatalf("%s: read after a JSON line: %v", target.name, err)
+		}
+	}
+	in, err := h.m.Files().DeclareBuffer([]byte("still framing"), files.LifetimeWorkflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := worker.New(worker.Config{
-		ManagerAddr:        m.Addr(),
-		WorkDir:            t.TempDir(),
-		Capacity:           resources.R{Cores: 2, Memory: resources.GB, Disk: resources.GB},
-		ID:                 "proto-worker",
-		DisableBinaryProto: wkrJSON,
-	})
-	if err != nil {
+	out := h.m.Files().DeclareTemp()
+	spec := command("tr a-z A-Z < in > out")
+	spec.AddInput(in.ID, "in")
+	spec.AddOutput(out.ID, "out")
+	if _, err := h.m.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); w.Run(ctx) }()
-	t.Cleanup(func() {
-		m.Close()
-		cancel()
-		<-done
-	})
-	return m
-}
-
-// TestProtoNegotiationMatrix runs a complete put-execute-fetch round trip
-// under every combination of manager and worker framing preference: new
-// peers settle on binary frames, while either side preferring JSON keeps
-// the whole link on JSON — the cross-version compatibility story.
-func TestProtoNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name             string
-		mgrJSON, wkrJSON bool
-	}{
-		{"binary-binary", false, false},
-		{"json-manager-binary-worker", true, false},
-		{"binary-manager-json-worker", false, true},
-		{"json-json", true, true},
+	if r := waitResult(t, h.m); !r.OK {
+		t.Fatalf("task failed after the malformed connections: %+v", r)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := protoHarness(t, tc.mgrJSON, tc.wkrJSON)
-			in, err := m.Files().DeclareBuffer([]byte("framing matrix"), files.LifetimeWorkflow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := m.Files().DeclareTemp()
-			spec := command("tr a-z A-Z < in > out")
-			spec.AddInput(in.ID, "in")
-			spec.AddOutput(out.ID, "out")
-			if _, err := m.Submit(spec); err != nil {
-				t.Fatal(err)
-			}
-			r := waitResult(t, m)
-			if !r.OK {
-				t.Fatalf("task failed under %s: %+v", tc.name, r)
-			}
-			got, err := m.FetchFile(context.Background(), out.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != "FRAMING MATRIX" {
-				t.Fatalf("fetched %q under %s", got, tc.name)
-			}
-		})
+	got, err := h.m.FetchFile(context.Background(), out.ID)
+	if err != nil || string(got) != "STILL FRAMING" {
+		t.Fatalf("fetched %q, %v", got, err)
 	}
 }
 

@@ -67,9 +67,7 @@ func joinStuckReader(t *testing.T, m *Manager, id string, cores int) *protocol.C
 	return conn
 }
 
-// declareLargeBuffer declares a stuckReaderBytes buffer. Declaring copies
-// the bytes under the registry lock, which the event loop also takes, so
-// tests declare before a liveness clock starts.
+// declareLargeBuffer declares a stuckReaderBytes buffer.
 func declareLargeBuffer(t *testing.T, m *Manager) string {
 	t.Helper()
 	buf, err := m.Files().DeclareBuffer(make([]byte, stuckReaderBytes), files.LifetimeTask)
@@ -153,6 +151,47 @@ func TestDispatchNotStalledByLargePut(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInvokeNotStalledByDeclareBuffer: declaring a worker-lifetime buffer
+// copies and hashes it, tens of milliseconds for stuckReaderBytes. The
+// event loop takes the registry lock on every submit and completion, so a
+// call on an idle worker made while the buffer is being declared must still
+// return promptly. Before the copy and the hash moved out of the lock, the
+// call waited for the whole declaration.
+func TestInvokeNotStalledByDeclareBuffer(t *testing.T) {
+	h := newHarness(t, 0, Config{})
+	startLibraryWorker(t, h, "b")
+	h.m.InstallLibrary("math", resources.R{Cores: 1})
+	waitLibraryReady(t, h.m)
+	content := make([]byte, stuckReaderBytes)
+	declaring := make(chan struct{})
+	declared := make(chan time.Duration, 1)
+	go func() {
+		close(declaring)
+		start := time.Now()
+		if _, err := h.m.Files().DeclareBuffer(content, files.LifetimeWorker); err != nil {
+			t.Error(err)
+		}
+		declared <- time.Since(start)
+	}()
+	<-declaring
+	start := time.Now()
+	if _, err := h.m.Invoke("math", "double", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	r := waitResult(t, h.m)
+	first := time.Since(start)
+	if !r.OK {
+		t.Fatalf("call = %+v", r)
+	}
+	// A call that waits for the registry lock takes about as long as the
+	// whole declaration. The bound scales with the declaration, which the
+	// race detector or a loaded host slows several times over.
+	declare := <-declared
+	if limit := max(50*time.Millisecond, declare*3/4); first > limit {
+		t.Fatalf("a call on an idle worker took %v while a buffer was being declared (declaring took %v)", first, declare)
 	}
 }
 

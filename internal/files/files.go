@@ -238,19 +238,29 @@ func treeSize(path string) int64 {
 
 // DeclareBuffer declares literal bytes from the application's memory as a
 // file. The cache name of a worker-lifetime buffer is the hash of its
-// contents.
+// contents. The copy and the hash are made before taking the registry lock,
+// which the manager's event loop also takes.
 func (r *Registry) DeclareBuffer(content []byte, lifetime Lifetime) (*File, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	c := make([]byte, len(content))
+	// One copy call cannot be preempted, and the garbage collector, with
+	// every goroutine behind it, would wait for it; copy in pieces instead.
+	for off := 0; off < len(c); off += copyChunk {
+		copy(c[off:], content[off:min(off+copyChunk, len(c))])
+	}
 	var id string
 	if lifetime == LifetimeWorker {
-		id = hashing.Name(hashing.PrefixBuffer, hashing.HashBytes(content))
-	} else {
+		id = hashing.Name(hashing.PrefixBuffer, hashing.HashBytes(c))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if id == "" {
 		id = r.randomNameLocked(hashing.PrefixBuffer)
 	}
-	c := append([]byte(nil), content...)
 	return r.insertLocked(&File{ID: id, Type: Buffer, Content: c, Size: int64(len(c)), Lifetime: lifetime})
 }
+
+// copyChunk is the largest piece DeclareBuffer copies in one call.
+const copyChunk = 256 << 10
 
 // DeclareURL declares a remote object to be downloaded by workers on
 // demand. For worker lifetime the manager retrieves the HTTP header and

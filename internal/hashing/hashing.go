@@ -47,9 +47,25 @@ func Name(prefix string, d Digest) string {
 // BufferFiles, whose content is available in the manager's memory when the
 // buffer is attached to a task.
 func HashBytes(b []byte) Digest {
-	sum := md5.Sum(b)
-	return Digest(hex.EncodeToString(sum[:]))
+	if len(b) <= hashChunk {
+		sum := md5.Sum(b)
+		return Digest(hex.EncodeToString(sum[:]))
+	}
+	h := md5.New()
+	for len(b) > 0 {
+		n := min(len(b), hashChunk)
+		h.Write(b[:n])
+		b = b[n:]
+	}
+	return Digest(hex.EncodeToString(h.Sum(nil)))
 }
+
+// hashChunk bounds the bytes one MD5 call digests. The digest loop is
+// assembly, which the runtime cannot preempt, and the garbage collector
+// waits for a goroutine it cannot preempt while the rest of the process
+// waits for the collector: one call over tens of megabytes stalls every
+// goroutine for its whole duration.
+const hashChunk = 64 << 10
 
 // HashString returns the MD5 digest of a string.
 func HashString(s string) Digest {

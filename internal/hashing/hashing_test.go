@@ -37,6 +37,11 @@ func TestHashReaderMatchesHashBytes(t *testing.T) {
 	if d != HashBytes(data) {
 		t.Fatalf("HashReader disagrees with HashBytes")
 	}
+	// Larger than one hash chunk, and not a multiple of it.
+	big := bytes.Repeat(data, 3*hashChunk/len(data))
+	if d, _ := HashReader(bytes.NewReader(big)); d != HashBytes(big) {
+		t.Fatalf("HashReader disagrees with HashBytes over %d bytes", len(big))
+	}
 }
 
 func TestHashFile(t *testing.T) {

@@ -134,7 +134,6 @@ type VineMetrics struct {
 	BatchJobsLive    *Gauge
 	BatchSubmissions *Counter
 	BatchRestarts    *Counter
-	BatchResizes     *Counter
 
 	// Sharded control plane (internal/shard). The shard label is the
 	// shard's index within the router ("0".."N-1"), so cardinality is the
@@ -286,8 +285,6 @@ func ForRegistry(r *Registry) *VineMetrics {
 			"Batch worker jobs submitted."),
 		BatchRestarts: r.Counter("vine_batch_restarts_total",
 			"Batch worker jobs restarted after unexpected exits."),
-		BatchResizes: r.Counter("vine_batch_resizes_total",
-			"Autoscaler-initiated changes to the batch pool's target size."),
 
 		ShardSubmissions: r.CounterVec("vine_shard_submissions_total",
 			"Tasks routed to each manager shard, by shard index.", "shard"),

@@ -1,16 +1,16 @@
 package protocol
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"testing"
 	"time"
-	"unicode/utf8"
 )
 
 // FuzzRecv feeds arbitrary bytes to the message decoder: it must never
-// panic or hang, only return messages or errors.
+// panic or hang, only return messages or errors, and it must accept nothing
+// from a stream whose first byte is not the frame magic. The JSON seeds are
+// lines of the retired framing, kept as inputs that must be rejected.
 func FuzzRecv(f *testing.F) {
 	f.Add([]byte(`{"type":"heartbeat"}` + "\n"))
 	f.Add([]byte(`{"type":"put","cache_name":"x","size":3,"payload":true}` + "\nabc"))
@@ -38,6 +38,9 @@ func FuzzRecv(f *testing.F) {
 				m, payload, err := conn.Recv()
 				if err != nil {
 					return
+				}
+				if data[0] != frameMagic {
+					t.Errorf("decoded %+v from a stream starting %#02x", m, data[0])
 				}
 				if m.Payload && payload != nil {
 					io.Copy(io.Discard, payload)
@@ -83,7 +86,7 @@ func binaryFrame(m *Message, payload []byte) []byte {
 func FuzzBinaryDecode(f *testing.F) {
 	f.Add(encodeMessage(nil, &Message{Type: TypeHeartbeat}))
 	f.Add(encodeMessage(nil, &Message{Type: TypeGet, CacheName: "x", Offset: 1, Total: 2,
-		PeerAddrs: []string{"a:1", "b:2"}, Proto: ProtoBinary}))
+		PeerAddrs: []string{"a:1", "b:2"}}))
 	f.Add([]byte{0x03, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeMessage(data)
@@ -105,54 +108,6 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if got.Type != typ || got.WorkerID != workerID || got.CacheName != cacheName ||
 			got.Size != size || got.Offset != offset || got.Total != total {
 			t.Fatalf("got %+v want %+v", got, sent)
-		}
-	})
-}
-
-// FuzzRoundTrip checks that any message surviving a send is received
-// identically.
-func FuzzRoundTrip(f *testing.F) {
-	f.Add("register", "w1", "addr:1", int64(0), "")
-	f.Add("put", "", "", int64(10), "0123456789")
-	f.Add("cache-update", "w2", "", int64(0), "")
-	f.Fuzz(func(t *testing.T, typ, workerID, addr string, size int64, payload string) {
-		if size < 0 || size > 1<<16 || int64(len(payload)) != size {
-			t.Skip()
-		}
-		// JSON strings cannot carry invalid UTF-8: the encoder substitutes
-		// U+FFFD, so exact round-tripping only holds for valid control
-		// fields. The payload is raw bytes and exempt.
-		if !utf8.ValidString(typ) || !utf8.ValidString(workerID) || !utf8.ValidString(addr) {
-			t.Skip()
-		}
-		a, b := net.Pipe()
-		ca, cb := NewConn(a), NewConn(b)
-		defer ca.Close()
-		defer cb.Close()
-		sent := &Message{Type: typ, WorkerID: workerID, TransferAddr: addr, Size: size}
-		errc := make(chan error, 1)
-		go func() {
-			if size > 0 {
-				errc <- ca.SendPayload(sent, bytes.NewReader([]byte(payload)))
-			} else {
-				errc <- ca.Send(sent)
-			}
-		}()
-		got, body, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-		if serr := <-errc; serr != nil {
-			t.Fatalf("send: %v", serr)
-		}
-		if got.Type != typ || got.WorkerID != workerID || got.TransferAddr != addr {
-			t.Fatalf("got %+v want %+v", got, sent)
-		}
-		if size > 0 {
-			b, _ := io.ReadAll(body)
-			if string(b) != payload {
-				t.Fatalf("payload %q want %q", b, payload)
-			}
 		}
 	})
 }

@@ -2,24 +2,20 @@
 // manager and its workers, and between peer workers during supervised
 // worker-to-worker transfers (§2.2, §3.3).
 //
-// The protocol has two interchangeable framings. The baseline (ProtoJSON)
-// is a stream of newline-delimited JSON control messages over TCP; a
-// control message whose Size field is positive and whose Payload flag is
-// set is immediately followed by exactly Size raw bytes of file data. The
-// fast path (ProtoBinary, see binary.go) replaces the JSON line with a
-// length-prefixed binary frame carrying the same fields. Receivers
-// distinguish the two by the first byte of each message, so negotiation is
-// sender-side only: a peer advertises ProtoBinary in its register message
-// (or transfer request) and the other side upgrades its sends after the
-// handshake. The manager directs all policy; workers respond asynchronously
-// with cache-update and completion messages, so the connection is fully
-// bidirectional and unsynchronized.
+// Every message on every connection is one binary frame (see binary.go): a
+// fixed prologue, a compact tag/value header carrying the Message fields,
+// and, when the header says so, exactly Size raw bytes of file data. There
+// is no other framing and nothing to negotiate: a connection speaks frames
+// from its first byte, and Recv rejects input that does not start with the
+// frame magic. The manager directs all policy; workers respond
+// asynchronously with cache-update and completion messages, so the
+// connection is fully bidirectional and unsynchronized. cmd/vine-frames
+// decodes a captured byte stream for debugging.
 package protocol
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -101,7 +97,8 @@ type OutputInfo struct {
 
 // Message is the single wire message shape. Fields are a union across all
 // message types; unused fields are omitted from the encoding. A flat union
-// keeps the codec trivial and the protocol debuggable with netcat.
+// keeps the codec trivial. The json tags name the fields in cmd/vine-frames
+// output; they play no part on the wire.
 type Message struct {
 	Type string `json:"type"`
 
@@ -129,7 +126,9 @@ type Message struct {
 	// File movement.
 	CacheName string `json:"cache_name,omitempty"`
 	Size      int64  `json:"size,omitempty"`
-	Payload   bool   `json:"payload,omitempty"`
+	// Payload is set by Recv when the frame carried Size payload bytes.
+	// Senders need not set it: SendPayload marks the frame.
+	Payload bool `json:"payload,omitempty"`
 	// Dir marks a directory-valued object whose payload is a tar stream
 	// rather than raw file bytes.
 	Dir      bool `json:"dir,omitempty"`
@@ -155,10 +154,6 @@ type Message struct {
 	// fetch instruction, enabling the receiving worker to fetch disjoint
 	// chunks of a large object from several sources in parallel.
 	PeerAddrs []string `json:"peer_addrs,omitempty"`
-	// Proto advertises the highest protocol version the sender speaks
-	// (ProtoJSON or ProtoBinary); carried in register messages and transfer
-	// requests to negotiate binary framing.
-	Proto int `json:"proto,omitempty"`
 
 	// Status reporting.
 	Status string `json:"status,omitempty"`
@@ -181,11 +176,8 @@ type Conn struct {
 	raw net.Conn
 	r   *bufio.Reader
 	// pending is the unread remainder of the previous message's payload;
-	// it must be drained before the next control message can be decoded.
+	// it must be drained before the next frame can be decoded.
 	pending int64
-	// line accumulates JSON control lines that overflow the bufio buffer,
-	// reused across Recv calls to avoid per-message allocation.
-	line []byte
 
 	// mu is a leaf lock: frames are encoded under it, nothing blocks.
 	mu sync.Mutex
@@ -195,9 +187,6 @@ type Conn struct {
 	out []byte
 	// streams lists the payloads queued in out, in order. guarded by mu
 	streams []stream
-	// bin selects binary framing for outgoing messages; incoming frames
-	// self-identify by their first byte. guarded by mu
-	bin bool
 	// closing refuses new frames while the writer drains. guarded by mu
 	closing bool
 	// err is the sticky failure later sends return. guarded by mu
@@ -278,15 +267,6 @@ func (c *Conn) WriteStalled() time.Duration {
 	return 0
 }
 
-// EnableBinary switches outgoing messages on this connection to binary
-// framing. Call it only after the peer has advertised ProtoBinary; the
-// receive path is unaffected (framing is detected per message).
-func (c *Conn) EnableBinary() {
-	c.mu.Lock()
-	c.bin = true
-	c.mu.Unlock()
-}
-
 // Send queues a control message with no payload. The frame is encoded
 // before Send returns, so the caller may reuse the message at once.
 func (c *Conn) Send(m *Message) error {
@@ -298,17 +278,11 @@ func (c *Conn) Send(m *Message) error {
 // SendPayload queues a control message followed by exactly m.Size bytes
 // read from payload, and waits until both are written. A payload that
 // fails or runs short fails the connection: the peer was promised m.Size
-// bytes. The caller's message is never mutated: a payload marker is set on
-// a private copy, so one Message may be broadcast to many connections
-// concurrently.
+// bytes. The caller's message is only read, so one Message may be
+// broadcast to many connections concurrently.
 func (c *Conn) SendPayload(m *Message, payload io.Reader) error {
 	if payload == nil {
 		return c.Send(m)
-	}
-	if !m.Payload {
-		mm := *m
-		mm.Payload = true
-		m = &mm
 	}
 	done := make(chan error, 1)
 	c.mu.Lock()
@@ -331,15 +305,7 @@ func (c *Conn) enqueueLocked(m *Message, hasPayload bool) error {
 	if c.closing {
 		return errClosed
 	}
-	if c.bin {
-		c.out = appendFrame(c.out, m, hasPayload)
-	} else {
-		b, err := json.Marshal(m)
-		if err != nil {
-			return fmt.Errorf("protocol: encoding %s: %w", m.Type, err)
-		}
-		c.out = append(append(c.out, b...), '\n')
-	}
+	c.out = appendFrame(c.out, m, hasPayload)
 	if len(c.out) > maxQueuedBytes {
 		c.failLocked(fmt.Errorf("protocol: outbound queue exceeds %d bytes; the peer is not reading", maxQueuedBytes))
 		return c.err
@@ -458,11 +424,11 @@ func (w sockWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Recv reads the next control message, auto-detecting the framing from its
-// first byte. If the message carries a payload, the returned reader yields
-// exactly Size bytes and MUST be fully consumed (or the connection
+// Recv reads the next frame. If it carries a payload, the returned reader
+// yields exactly Size bytes and MUST be fully consumed (or the connection
 // abandoned) before the next call to Recv; Recv drains any unconsumed
-// remainder itself as a safety net.
+// remainder itself as a safety net. When the stream ends between frames,
+// Recv returns io.EOF itself; an end inside a frame is a wrapped error.
 func (c *Conn) Recv() (*Message, io.Reader, error) {
 	if c.pending > 0 {
 		if _, err := io.CopyN(io.Discard, c.r, c.pending); err != nil {
@@ -470,64 +436,14 @@ func (c *Conn) Recv() (*Message, io.Reader, error) {
 		}
 		c.pending = 0
 	}
-	first, err := c.r.Peek(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if first[0] == frameMagic {
-		return c.recvBinary()
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return nil, nil, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, nil, fmt.Errorf("protocol: malformed message %q: %w", truncate(line, 120), err)
-	}
-	if !m.Payload {
-		return &m, nil, nil
-	}
-	if m.Size < 0 {
-		return nil, nil, fmt.Errorf("protocol: %s message with negative payload size %d", m.Type, m.Size)
-	}
-	c.pending = m.Size
-	pr := &payloadReader{c: c, r: io.LimitReader(c.r, m.Size)}
-	return &m, pr, nil
-}
-
-// readLine reads one newline-terminated JSON control line without the
-// per-call allocation of ReadBytes. Lines that fit the bufio buffer are
-// returned as a view into it (valid until the next read); longer lines are
-// accumulated into a buffer reused across calls, capped at maxHeaderBytes.
-func (c *Conn) readLine() ([]byte, error) {
-	line, err := c.r.ReadSlice('\n')
-	if err == nil {
-		return line, nil
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	c.line = append(c.line[:0], line...)
-	for {
-		line, err = c.r.ReadSlice('\n')
-		c.line = append(c.line, line...)
-		if len(c.line) > maxHeaderBytes {
-			return nil, fmt.Errorf("protocol: control line exceeds %d bytes", maxHeaderBytes)
-		}
-		if err == nil {
-			return c.line, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-// recvBinary parses one binary frame whose magic byte is already buffered.
-func (c *Conn) recvBinary() (*Message, io.Reader, error) {
 	var prologue [framePrologueLen]byte
-	if _, err := io.ReadFull(c.r, prologue[:]); err != nil {
+	if _, err := io.ReadFull(c.r, prologue[:1]); err != nil {
+		return nil, nil, err
+	}
+	if prologue[0] != frameMagic {
+		return nil, nil, fmt.Errorf("protocol: first byte %#02x (%q) is not the frame magic %#02x", prologue[0], prologue[0], frameMagic)
+	}
+	if _, err := io.ReadFull(c.r, prologue[1:]); err != nil {
 		return nil, nil, fmt.Errorf("protocol: reading frame prologue: %w", err)
 	}
 	if prologue[1] != frameVersion {
@@ -577,13 +493,6 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 	n, err := p.r.Read(b)
 	p.c.pending -= int64(n)
 	return n, err
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		return string(b[:n]) + "..."
-	}
-	return string(b)
 }
 
 // Dial connects to a TaskVine endpoint.

@@ -7,11 +7,8 @@ import (
 	"testing"
 )
 
-// benchEcho dials a loopback echo server and returns the client side. When
-// binary is set, both directions use binary framing — the plane a modern
-// manager/worker pair negotiates at register time; otherwise the legacy
-// JSON line protocol.
-func benchEcho(b *testing.B, binary bool) *Conn {
+// benchEcho dials a loopback echo server and returns the client side.
+func benchEcho(b *testing.B) *Conn {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -26,9 +23,6 @@ func benchEcho(b *testing.B, binary bool) *Conn {
 		}
 		c := NewConn(nc)
 		defer c.Close()
-		if binary {
-			c.EnableBinary()
-		}
 		close(ready)
 		for {
 			m, payload, err := c.Recv()
@@ -52,15 +46,15 @@ func benchEcho(b *testing.B, binary bool) *Conn {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { client.Close() })
-	if binary {
-		client.EnableBinary()
-	}
 	<-ready
 	return client
 }
 
-func benchRoundTrip(b *testing.B, binary bool) {
-	client := benchEcho(b, binary)
+// BenchmarkControlMessageRoundTrip measures manager↔worker control message
+// latency over a real loopback socket — the cost floor of the "millisecond
+// per task" dispatch budget discussed in §6.
+func BenchmarkControlMessageRoundTrip(b *testing.B) {
+	client := benchEcho(b)
 	msg := &Message{Type: TypeHeartbeat, WorkerID: "bench"}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,21 +68,11 @@ func benchRoundTrip(b *testing.B, binary bool) {
 	}
 }
 
-// BenchmarkControlMessageRoundTrip measures manager↔worker control message
-// latency over a real loopback socket — the cost floor of the "millisecond
-// per task" dispatch budget discussed in §6 — on the default (binary)
-// frame plane.
-func BenchmarkControlMessageRoundTrip(b *testing.B) { benchRoundTrip(b, true) }
-
-// BenchmarkControlMessageRoundTripJSON is the same round trip on the
-// legacy JSON line protocol, the fallback plane for old peers and netcat
-// debugging.
-func BenchmarkControlMessageRoundTripJSON(b *testing.B) { benchRoundTrip(b, false) }
-
-func benchPayload(b *testing.B, binary bool) {
+// BenchmarkPayloadThroughput measures bulk object movement over loopback.
+func BenchmarkPayloadThroughput(b *testing.B) {
 	const size = 4 << 20
 	data := bytes.Repeat([]byte{0xAB}, size)
-	client := benchEcho(b, binary)
+	client := benchEcho(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -102,14 +86,6 @@ func benchPayload(b *testing.B, binary bool) {
 		}
 	}
 }
-
-// BenchmarkPayloadThroughput measures bulk object movement through the
-// default (binary) framing over loopback.
-func BenchmarkPayloadThroughput(b *testing.B) { benchPayload(b, true) }
-
-// BenchmarkPayloadThroughputJSON is the same bulk movement on the legacy
-// JSON line protocol.
-func BenchmarkPayloadThroughputJSON(b *testing.B) { benchPayload(b, false) }
 
 // BenchmarkBinaryEncode measures pure codec cost for a representative
 // control message, without socket I/O.

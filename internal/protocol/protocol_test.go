@@ -186,16 +186,21 @@ func TestTaskSpecOverWire(t *testing.T) {
 	}
 }
 
+// TestMalformedMessage: a JSON line, the retired framing, is not a frame.
+// Recv refuses it at the first byte and names that byte.
 func TestMalformedMessage(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	cb := NewConn(b)
 	defer cb.Close()
-	go func() {
-		a.Write([]byte("this is not json\n"))
-	}()
-	if _, _, err := cb.Recv(); err == nil {
-		t.Fatal("malformed message accepted")
+	go a.Write([]byte(`{"type":"heartbeat"}` + "\n"))
+	cb.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, _, err := cb.Recv()
+	if err == nil {
+		t.Fatal("JSON line accepted")
+	}
+	if !strings.Contains(err.Error(), "0x7b") {
+		t.Fatalf("error %q does not name the offending byte", err)
 	}
 }
 

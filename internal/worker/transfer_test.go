@@ -7,12 +7,13 @@ package worker
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"taskvine/internal/protocol"
 	"taskvine/internal/tardir"
@@ -91,12 +92,20 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 	assertNoPartLitter(t, w)
 }
 
-// writeRawHeader writes a JSON-framed header straight to the socket, for
-// fakes that must follow it with a broken payload: a Conn only sends
-// payloads that are whole, and nothing else may write under it.
+// writeRawHeader writes the frame header of m, which announces an m.Size
+// payload, straight to the socket, for fakes that must follow it with a
+// broken payload: a Conn only sends payloads that are whole, and nothing
+// else may write under it. The header is what a Conn sends for m over an
+// in-memory pipe, less the zero payload behind it.
 func writeRawHeader(nc net.Conn, m *protocol.Message) {
-	hdr, _ := json.Marshal(m)
-	nc.Write(append(hdr, '\n'))
+	a, b := net.Pipe()
+	enc := protocol.NewConn(a)
+	go func() {
+		enc.SendPayload(m, bytes.NewReader(make([]byte, m.Size)))
+		enc.Close()
+	}()
+	frame, _ := io.ReadAll(b)
+	nc.Write(frame[:len(frame)-int(m.Size)])
 }
 
 // TestChaosDirShortTarNotCommitted serves a directory payload whose tar
@@ -208,10 +217,16 @@ func TestChunkedFetchFromMultipleReplicas(t *testing.T) {
 	if !bytes.Equal(body, data) {
 		t.Fatalf("chunked content differs: got %d bytes, want %d", len(body), len(data))
 	}
-	// Both replicas must have carried part of the load.
-	if wa.vm.PeerServes.Value() == 0 || wb.vm.PeerServes.Value() == 0 {
-		t.Fatalf("serves: holder-a=%d holder-b=%d; want both > 0",
-			wa.vm.PeerServes.Value(), wb.vm.PeerServes.Value())
+	// Both replicas must have carried part of the load. A holder counts a
+	// serve once its send returns, which can be after the fetcher has
+	// already verified and reported the bytes.
+	deadline := time.Now().Add(5 * time.Second)
+	for wa.vm.PeerServes.Value() == 0 || wb.vm.PeerServes.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("serves: holder-a=%d holder-b=%d; want both > 0",
+				wa.vm.PeerServes.Value(), wb.vm.PeerServes.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

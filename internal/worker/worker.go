@@ -75,11 +75,6 @@ type Config struct {
 	// locally, with capped exponential backoff, before the failure is
 	// reported to the manager; defaults to 2 (negative disables retries).
 	PeerFetchRetries int
-	// DisableBinaryProto keeps the manager link on JSON line framing even
-	// when the manager offers the binary protocol — useful when debugging
-	// the wire with netcat, and for old managers it is simply never
-	// offered.
-	DisableBinaryProto bool
 	// ChunkThreshold is the minimum object size, in bytes, at which a peer
 	// fetch with more than one known replica splits into parallel ranged
 	// requests; defaults to 4 MB.
@@ -323,12 +318,6 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 		TransferAddr: w.peerAddr,
 		Capacity:     &cap,
 	}
-	if !w.cfg.DisableBinaryProto {
-		// Advertise binary framing. The register itself is always JSON, so
-		// an old manager simply ignores the field; a new one answers with a
-		// binary-framed ack and both directions switch over.
-		reg.Proto = protocol.ProtoBinary
-	}
 	if err := conn.Send(reg); err != nil {
 		return err
 	}
@@ -394,13 +383,6 @@ func (w *Worker) readLoop(ctx context.Context) error {
 			return err
 		}
 		switch m.Type {
-		case protocol.TypeRegister:
-			// The manager's registration ack. Proto confirms the framing
-			// both ends will speak from here on; Recv autodetects per frame,
-			// so only the send side needs switching.
-			if m.Proto >= protocol.ProtoBinary && !w.cfg.DisableBinaryProto {
-				w.conn.EnableBinary()
-			}
 		case protocol.TypeError:
 			// The manager rejected one of our frames (for example an
 			// oversized control payload). The transfer supervisor owns the
